@@ -37,6 +37,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -252,11 +253,15 @@ pub fn run_cluster_scenario(cfg: &ClusterScenarioConfig) -> io::Result<ClusterOu
         .map(|k| map.owned_ranges(&ids[k.node]).len())
         .unwrap_or(0);
 
+    // Scenarios in one process may share a seed and run in parallel, so
+    // the process-wide counter keeps every scenario's map file its own.
     let dir_path: Option<PathBuf> = cfg.dir_restart_after.map(|_| {
+        static SCENARIO: AtomicU64 = AtomicU64::new(0);
         std::env::temp_dir().join(format!(
-            "rif-dirmap-{}-{}.txt",
+            "rif-dirmap-{}-{}-{}.txt",
             std::process::id(),
-            cfg.seed
+            cfg.seed,
+            SCENARIO.fetch_add(1, Ordering::Relaxed)
         ))
     });
     let dir = match &dir_path {

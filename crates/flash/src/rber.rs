@@ -12,7 +12,7 @@ use rif_events::SimRng;
 
 use crate::geometry::PageKind;
 use crate::vref::ReadVoltages;
-use crate::vth::{OperatingPoint, TlcModel};
+use crate::vth::{OperatingPoint, StateParam, TlcModel};
 
 /// Per-block reliability profile drawn from process variation.
 ///
@@ -57,6 +57,8 @@ impl BlockProfile {
 pub struct ErrorModel {
     tlc: TlcModel,
     default_refs: [f64; 7],
+    /// `tlc.state_scales()`, built once: every evaluation below needs it.
+    state_scales: [f64; 8],
 }
 
 impl ErrorModel {
@@ -68,7 +70,12 @@ impl ErrorModel {
     /// Wraps an arbitrary V_TH model.
     pub fn new(tlc: TlcModel) -> Self {
         let default_refs = tlc.default_refs();
-        ErrorModel { tlc, default_refs }
+        let state_scales = tlc.state_scales();
+        ErrorModel {
+            tlc,
+            default_refs,
+            state_scales,
+        }
     }
 
     /// The underlying V_TH model.
@@ -81,17 +88,40 @@ impl ErrorModel {
         ReadVoltages::new(self.default_refs)
     }
 
+    /// The block's V_TH state distributions at `op`.
+    fn state_params(&self, block: BlockProfile, op: OperatingPoint) -> [StateParam; 8] {
+        self.tlc
+            .state_params_scaled(op, block.factor, &self.state_scales)
+    }
+
     /// RBER of a page read at the default references.
     pub fn rber_default(&self, block: BlockProfile, op: OperatingPoint, kind: PageKind) -> f64 {
-        self.tlc.rber(op, block.factor, &self.default_refs, kind)
+        let params = self.state_params(block, op);
+        self.tlc.rber_with_params(&params, &self.default_refs, kind)
     }
 
     /// RBER of a page re-read at *near-optimal* references (what an ideal
     /// retry achieves). This is the RBER for which tECC ≈ 1 µs in Table I.
     pub fn rber_optimal(&self, block: BlockProfile, op: OperatingPoint, kind: PageKind) -> f64 {
-        let params = self.tlc.state_params(op, block.factor);
+        let params = self.state_params(block, op);
         let refs = self.tlc.optimal_refs(params);
         self.tlc.rber_with_params(&params, &refs, kind)
+    }
+
+    /// `(rber_default, rber_optimal)` of one page from a single evaluation
+    /// of the state distributions: the pair every simulated read needs.
+    pub fn rber_default_and_optimal(
+        &self,
+        block: BlockProfile,
+        op: OperatingPoint,
+        kind: PageKind,
+    ) -> (f64, f64) {
+        let params = self.state_params(block, op);
+        let refs = self.tlc.optimal_refs(params);
+        (
+            self.tlc.rber_with_params(&params, &self.default_refs, kind),
+            self.tlc.rber_with_params(&params, &refs, kind),
+        )
     }
 
     /// RBER of a page read at arbitrary references.
@@ -102,7 +132,8 @@ impl ErrorModel {
         refs: ReadVoltages,
         kind: PageKind,
     ) -> f64 {
-        self.tlc.rber(op, block.factor, refs.as_array(), kind)
+        let params = self.state_params(block, op);
+        self.tlc.rber_with_params(&params, refs.as_array(), kind)
     }
 
     /// Kind-averaged RBER at default references.
@@ -115,7 +146,7 @@ impl ErrorModel {
     /// (optimal − default). This is the scalar ground truth the online
     /// [`crate::learn::ThresholdLearner`] is judged against.
     pub fn optimal_offset(&self, block: BlockProfile, op: OperatingPoint) -> f64 {
-        let params = self.tlc.state_params(op, block.factor);
+        let params = self.state_params(block, op);
         let optimal = self.tlc.optimal_refs(params);
         optimal
             .iter()
@@ -193,8 +224,9 @@ impl BlockErrorTable {
             for i in 0..n {
                 let day = (i as f64 * step_days).min(max_days);
                 let op = OperatingPoint::new(pe_cycles, day);
-                default[ki].push(model.rber_default(block, op, kind));
-                optimal[ki].push(model.rber_optimal(block, op, kind));
+                let (d, o) = model.rber_default_and_optimal(block, op, kind);
+                default[ki].push(d);
+                optimal[ki].push(o);
             }
         }
         BlockErrorTable {

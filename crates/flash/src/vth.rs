@@ -151,10 +151,28 @@ impl TlcModel {
         1.0 + self.wear_amp * (pe as f64 / 1000.0).powf(self.wear_exp)
     }
 
+    /// The per-state retention scaling `(s/7)^γ`, erased state first.
+    /// It depends only on the model, so callers that evaluate many stress
+    /// points build it once and pass it to [`TlcModel::state_params_scaled`].
+    pub(crate) fn state_scales(&self) -> [f64; 8] {
+        std::array::from_fn(|s| (s as f64 / 7.0).powf(self.state_gamma))
+    }
+
     /// V_TH distribution parameters of all eight states under the given
     /// stress. `process_factor` scales the retention shift and models
     /// block-to-block process variation (1.0 = median block).
     pub fn state_params(&self, op: OperatingPoint, process_factor: f64) -> [StateParam; 8] {
+        self.state_params_scaled(op, process_factor, &self.state_scales())
+    }
+
+    /// [`TlcModel::state_params`] with the `(s/7)^γ` terms taken from
+    /// `scales` (as built by [`TlcModel::state_scales`]).
+    pub(crate) fn state_params_scaled(
+        &self,
+        op: OperatingPoint,
+        process_factor: f64,
+        scales: &[f64; 8],
+    ) -> [StateParam; 8] {
         let wear = self.wear(op.pe_cycles);
         let ln_t = (1.0 + op.retention_days.max(0.0)).ln();
         let widen =
@@ -175,11 +193,7 @@ impl TlcModel {
             } else {
                 self.sigma_prog
             };
-            let shift = self.retention_a
-                * process_factor
-                * wear
-                * ln_t
-                * (s as f64 / 7.0).powf(self.state_gamma);
+            let shift = self.retention_a * process_factor * wear * ln_t * scales[s];
             // Read disturb weakly programs the erased state upward.
             let disturb = if s == 0 { rd } else { 0.0 };
             *slot = StateParam {
@@ -201,12 +215,14 @@ impl TlcModel {
         }
     }
 
-    /// The read-reference indices (1–7) a page of `kind` uses: the state
-    /// boundaries where its Gray bit flips.
-    pub fn refs_of(kind: PageKind) -> Vec<usize> {
-        (1..8)
-            .filter(|&r| Self::bit_of(kind, r - 1) != Self::bit_of(kind, r))
-            .collect()
+    /// The read-reference indices (1–7) a page of `kind` uses, ascending:
+    /// the state boundaries where its Gray bit flips.
+    pub fn refs_of(kind: PageKind) -> &'static [usize] {
+        match kind {
+            PageKind::Lsb => &[3, 7],
+            PageKind::Csb => &[2, 4, 6],
+            PageKind::Msb => &[1, 5],
+        }
     }
 
     /// Read-reference voltages optimal for fresh distributions — the
@@ -251,23 +267,21 @@ impl TlcModel {
         kind: PageKind,
     ) -> f64 {
         let kind_refs = Self::refs_of(kind);
-        // Region boundaries for this page kind, in ascending voltage order.
-        let bounds: Vec<f64> = kind_refs.iter().map(|&r| refs[r - 1]).collect();
         let mut err = 0.0;
         for (s, p) in params.iter().enumerate() {
             let want = Self::bit_of(kind, s);
-            // Walk the regions: region k spans (bounds[k-1], bounds[k]).
-            // The decoded bit of the lowest region is the bit of state 0.
+            // Walk the regions between this kind's references in ascending
+            // voltage order. The decoded bit of the lowest region is the
+            // bit of state 0, and crossing a reference flips it.
             let mut region_bit = Self::bit_of(kind, 0);
             let mut lo = f64::NEG_INFINITY;
             let mut wrong_mass = 0.0;
-            for (k, &b) in bounds.iter().enumerate() {
+            for &r in kind_refs {
+                let b = refs[r - 1];
                 if region_bit != want {
                     wrong_mass += gauss_mass(p, lo, b);
                 }
                 lo = b;
-                // Crossing reference kind_refs[k] flips the decoded bit.
-                let _ = k;
                 region_bit = !region_bit;
             }
             if region_bit != want {
@@ -291,13 +305,12 @@ impl TlcModel {
     /// Expected fraction of cells of a `kind` page that read as 1 at the
     /// given references — what a Swift-Read ones-count measures.
     pub fn ones_fraction(&self, params: &[StateParam; 8], refs: &[f64; 7], kind: PageKind) -> f64 {
-        let kind_refs = Self::refs_of(kind);
-        let bounds: Vec<f64> = kind_refs.iter().map(|&r| refs[r - 1]).collect();
         let mut ones = 0.0;
         for p in params.iter() {
             let mut region_bit = Self::bit_of(kind, 0);
             let mut lo = f64::NEG_INFINITY;
-            for &b in &bounds {
+            for &r in Self::refs_of(kind) {
+                let b = refs[r - 1];
                 if region_bit {
                     ones += gauss_mass(p, lo, b) / 8.0;
                 }
@@ -373,10 +386,20 @@ mod tests {
         // The seven references are partitioned among the kinds.
         let mut all: Vec<usize> = PageKind::ALL
             .iter()
-            .flat_map(|&k| TlcModel::refs_of(k))
+            .flat_map(|&k| TlcModel::refs_of(k).iter().copied())
             .collect();
         all.sort_unstable();
         assert_eq!(all, vec![1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn refs_are_the_gray_bit_flips() {
+        for k in PageKind::ALL {
+            let flips: Vec<usize> = (1..8)
+                .filter(|&r| TlcModel::bit_of(k, r - 1) != TlcModel::bit_of(k, r))
+                .collect();
+            assert_eq!(TlcModel::refs_of(k), flips.as_slice(), "{k}");
+        }
     }
 
     #[test]

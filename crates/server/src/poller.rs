@@ -445,16 +445,22 @@ impl Waker {
         let _ = (&self.inner.write).write(&[1u8]);
     }
 
-    /// Clears the pending flag and drains queued wake bytes. The loop
-    /// must call this *before* re-checking its work queues, so a wake
-    /// racing the drain either lands in the drained bytes or writes a
-    /// fresh byte that re-triggers the poller.
+    /// Drains queued wake bytes, then clears the pending flag. The loop
+    /// must call this *before* re-checking its work queues. A wake that
+    /// lands while the bytes are read sees `pending` still set and
+    /// writes nothing, but its work is already queued for that re-check.
+    /// A wake after the flag is cleared writes a fresh byte that
+    /// re-triggers the poller. (Clearing first would let a wake write a
+    /// byte that this drain then swallows, leaving `pending` set with no
+    /// byte in the pipe, so every later wake would be suppressed.)
     pub fn drain(&self, read_end: &UnixStream) {
-        self.inner.pending.store(false, Ordering::Release);
         use std::io::Read;
         let mut buf = [0u8; 64];
         let mut r = read_end;
         while matches!(r.read(&mut buf), Ok(n) if n > 0) {}
+        // AcqRel pairs with the swap in `wake`: whatever a coalesced
+        // waker queued before its swap is visible to the re-check.
+        self.inner.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -584,5 +590,48 @@ mod tests {
         let n = p.wait(&mut evs, None).unwrap();
         assert_eq!(n, 1);
         t.join().unwrap();
+    }
+
+    #[test]
+    fn no_wake_is_lost_under_cross_thread_stress() {
+        // A producer pushes items and wakes after each one; the loop only
+        // looks at the queue after a wakeup. A single lost wake leaves the
+        // loop blocked with items queued, which fails the deadline.
+        const N: usize = 200_000;
+        let mut p = best_poller().unwrap();
+        let (waker, read_end) = Waker::new().unwrap();
+        p.register(read_end.as_raw_fd(), 0, Interest::READ).unwrap();
+        let queue = Arc::new(std::sync::Mutex::new(std::collections::VecDeque::new()));
+        let producer = {
+            let (queue, waker) = (Arc::clone(&queue), waker.clone());
+            std::thread::spawn(move || {
+                for i in 0..N {
+                    queue.lock().unwrap().push_back(i);
+                    waker.wake();
+                    // Vary the gap so wakes land in every phase of the
+                    // loop's wait/drain/pop cycle.
+                    for _ in 0..i % 97 {
+                        std::hint::spin_loop();
+                    }
+                }
+            })
+        };
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut seen = 0;
+        let mut evs = Vec::new();
+        while seen < N {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            assert!(!left.is_zero(), "lost wake: saw {seen} of {N} items");
+            evs.clear();
+            if p.wait(&mut evs, Some(left)).unwrap() == 0 {
+                continue;
+            }
+            waker.drain(&read_end);
+            while let Some(i) = queue.lock().unwrap().pop_front() {
+                assert_eq!(i, seen, "items arrive in push order");
+                seen += 1;
+            }
+        }
+        producer.join().unwrap();
     }
 }

@@ -800,8 +800,11 @@ impl Simulator {
             None => 1.0,
         };
         let amplify = |r: f64| (r * amp).clamp(AMPLIFIED_RBER_FLOOR, AMPLIFIED_RBER_CAP);
-        let rber_default = amplify(self.cfg.error_model.rber_default(block, op, kind));
-        let rber_optimal = amplify(self.cfg.error_model.rber_optimal(block, op, kind));
+        let (rber_default, rber_optimal) = self
+            .cfg
+            .error_model
+            .rber_default_and_optimal(block, op, kind);
+        let (rber_default, rber_optimal) = (amplify(rber_default), amplify(rber_optimal));
         let initial = match &self.learner {
             // Learned mode: every scheme starts from the controller's
             // current per-block V_REF estimate, not the oracle tables.

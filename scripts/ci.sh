@@ -4,7 +4,8 @@
 #   scripts/ci.sh
 #
 # Steps: formatting, release build, test suite (default features plus the
-# gated proptest suites), the decode-kernel perf smoke, a determinism
+# gated proptest suites), the decode-kernel perf smoke, the benchmark's
+# self-checks (each stackbench workload for one second), a determinism
 # check that --threads does not change a single CSV byte, a trace
 # gate that replays a quick figure run through the invariant checker,
 # the lifetime-sweep smoke (learned-threshold retry activity against its
@@ -72,6 +73,14 @@ cargo test -q -p rif-cluster --features proptest --test proptest_map
 
 echo "==> perf_smoke --quick"
 cargo run -q --release -p rif-bench --bin perf_smoke -- --quick
+
+echo "==> benchmark self-checks (stackbench, 1 s per workload)"
+# Exit 0 means every repeated round reproduced the first byte for byte
+# and every request completed (see stackbench/README.md, "Self-checks").
+for wl in sim-ali124 sim-hybrid-mixed ldpc-mc; do
+    cargo run --release --offline --quiet --manifest-path stackbench/Cargo.toml -- \
+        --workload "$wl" --seed 1 --seconds 1 --trace 0 > "$tmpdir/stackbench-$wl.json"
+done
 
 echo "==> thread-count determinism (fig10, --threads 1 vs 8)"
 cargo run -q --release -p rif-bench --bin fig10_syndrome_correlation -- \
