@@ -34,9 +34,16 @@
 //! with the assignment unchanged and re-pushed, which un-seals the
 //! source (a `MAP_PUSH` resets every range it lists to owned).
 //!
+//! A persistent directory writes every new map durably *before* it
+//! publishes it. If that write fails, the migration returns the error
+//! and the old epoch stays live; the source keeps the range sealed
+//! (`BUSY(moving)`, which clients retry) until the next epoch bump
+//! that does persist.
+//!
 //! [`rebalance_away`]: Directory::rebalance_away
 
-use std::io;
+use std::fs::File;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -103,12 +110,22 @@ pub fn load_map(path: &Path) -> Result<ShardMap, MapLoadError> {
     ShardMap::parse_text(&text).map_err(MapLoadError::Malformed)
 }
 
-/// Atomically persists `map` to `path`: write to a sibling tmp file,
-/// then rename over — a crash mid-write leaves the old file intact.
+/// Durably persists `map` to `path`: write a sibling tmp file and sync
+/// it, rename it over `path`, then sync the parent directory so the
+/// rename itself survives a crash. A crash at any point leaves either the
+/// old file or the new one, never a torn one.
 fn persist_map(path: &Path, map: &ShardMap) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, map.to_text())?;
-    std::fs::rename(&tmp, path)
+    let mut file = File::create(&tmp)?;
+    file.write_all(map.to_text().as_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    File::open(parent)?.sync_all()
 }
 
 /// A running directory service (see the module docs).
@@ -336,14 +353,17 @@ fn unexpected(what: &str, got: &Response) -> io::Error {
 /// Installs `next` as the authoritative map and pushes it to every node
 /// it lists. Returns the new epoch; push failures are non-fatal (the
 /// node will catch up from `WRONG_SHARD` routing or the next push).
+///
+/// A persistent directory makes `next` durable before anyone can see
+/// it: once a router or node has the new epoch, a restarting directory
+/// must never come back with an older one. If persisting fails, the
+/// error is returned and the old map stays in place, unpublished.
 fn install_and_push(inner: &Inner, next: ShardMap) -> io::Result<u64> {
     let epoch = next.epoch;
-    *lock(&inner.map) = next.clone();
-    // Persist before pushing: once any node has seen the new epoch, a
-    // restarting directory must never come back with an older one.
     if let Some(path) = &inner.persist {
-        persist_map(path, &next).ok();
+        persist_map(path, &next)?;
     }
+    *lock(&inner.map) = next.clone();
     for n in &next.nodes {
         push_to(&n.addr, &next, &n.id).ok();
     }

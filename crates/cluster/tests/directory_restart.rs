@@ -10,7 +10,8 @@
 //! Also covers the typed-error path: a corrupted persisted file must
 //! fail loudly (`MapLoadError::Malformed` / `InvalidData`), never be
 //! silently replaced, while a *missing* file means "first boot" and the
-//! argument map is used.
+//! argument map is used; and the persist-before-publish rule: a map
+//! that cannot be written durably is never installed.
 
 use std::time::{Duration, Instant};
 
@@ -170,4 +171,65 @@ fn corrupted_map_file_is_a_typed_error_and_missing_means_first_boot() {
     );
     dir.stop();
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn migration_that_cannot_persist_fails_and_keeps_the_old_epoch() {
+    let node_a = start_node(43);
+    let node_b = start_node(44);
+    let nodes = vec![
+        NodeInfo {
+            id: "a".into(),
+            addr: node_a.local_addr().to_string(),
+        },
+        NodeInfo {
+            id: "b".into(),
+            addr: node_b.local_addr().to_string(),
+        },
+    ];
+    let map = ShardMap::rebalanced(1, CAPACITY, RANGES, nodes.clone()).expect("valid map");
+    // The map lives in a directory of its own, which the test deletes
+    // under the running service: every later write of the map fails
+    // (no permission tricks, so this holds when run as root too).
+    let parent = temp_path("unwritable-dir");
+    let _ = std::fs::remove_dir_all(&parent);
+    std::fs::create_dir(&parent).expect("create map dir");
+    let path = parent.join("map.txt");
+    let dir = Directory::start_persistent(map.clone(), 0, &path).expect("directory starts");
+    std::fs::remove_dir_all(&parent).expect("remove map dir");
+
+    let before = dir.map();
+    let (range, owner) = before.route(0);
+    let target = nodes
+        .iter()
+        .find(|n| n.id != owner.id)
+        .expect("two nodes")
+        .id
+        .clone();
+    let err = dir
+        .migrate(range, &target)
+        .expect_err("a map that cannot be persisted must not be installed");
+    assert_eq!(err.kind(), std::io::ErrorKind::NotFound, "{err}");
+
+    // Neither the in-memory map nor the wire view moved.
+    assert_eq!(dir.map().to_text(), before.to_text(), "map changed");
+    let (epoch, text) =
+        rif_cluster::directory::fetch_map_text(&dir.addr().to_string()).expect("MAP_GET works");
+    assert_eq!(epoch, before.epoch, "epoch published without persisting");
+    assert_eq!(text, before.to_text());
+
+    // Once the map can be written again, the same migration goes
+    // through and is durable.
+    std::fs::create_dir(&parent).expect("recreate map dir");
+    let epoch = dir.migrate(range, &target).expect("migration completes");
+    assert!(epoch > before.epoch, "migration must bump the epoch");
+    assert_eq!(
+        load_map(&path).expect("persisted").to_text(),
+        dir.map().to_text()
+    );
+
+    dir.stop();
+    node_a.stop();
+    node_b.stop();
+    let _ = std::fs::remove_dir_all(&parent);
 }

@@ -16,6 +16,8 @@
 //! [`BitFlipDecoder::decode_reference`]; the fast paths are bit-identical
 //! to them (see the golden-equivalence suite in `tests/`).
 
+use std::cell::Cell;
+
 use crate::bits::BitVec;
 use crate::code::QcLdpcCode;
 
@@ -156,16 +158,17 @@ impl Graph {
 
     /// Word-packed equivalent of [`Graph::syndrome_clear`]: per block row,
     /// XOR the rotated word-packed segments (circulant `Q(s)` ≡ rotate
-    /// left by `s`) and bail out on the first nonzero syndrome word.
-    fn syndrome_clear_words(&self, hard: &[u64]) -> bool {
+    /// left by `s`) into `acc` (`t/64` words of scratch) and bail out on
+    /// the first nonzero syndrome word.
+    #[inline(always)]
+    fn syndrome_clear_words(&self, hard: &[u64], acc: &mut [u64]) -> bool {
         debug_assert_eq!(hard.len() * 64, self.n);
         let tw = self.t / 64;
-        let mut acc = vec![0u64; tw];
         for row in &self.block_rows {
             acc.fill(0);
             for &(col, shift) in row {
                 let seg = &hard[col * tw..(col + 1) * tw];
-                xor_rotated(&mut acc, seg, shift);
+                xor_rotated(acc, seg, shift);
             }
             if acc.iter().any(|&w| w != 0) {
                 return false;
@@ -194,22 +197,81 @@ impl Graph {
 
 /// XORs `seg` rotated left by `shift` bits into `acc` (both `t/64` words).
 /// Output bit `k` of the rotation is input bit `(k + shift) mod t`.
-#[inline]
+#[inline(always)]
 fn xor_rotated(acc: &mut [u64], seg: &[u64], shift: usize) {
-    let nw = seg.len();
+    // Output word w reads words (w + ws) mod nw and its successor: two
+    // sequential runs each, split at the wrap, so no per-word modulo.
     let ws = shift / 64;
     let bs = shift % 64;
+    let lo = seg[ws..].iter().chain(&seg[..ws]);
     if bs == 0 {
-        for (w, a) in acc.iter_mut().enumerate() {
-            *a ^= seg[(w + ws) % nw];
+        for (a, &l) in acc.iter_mut().zip(lo) {
+            *a ^= l;
         }
     } else {
-        for (w, a) in acc.iter_mut().enumerate() {
-            let lo = seg[(w + ws) % nw];
-            let hi = seg[(w + ws + 1) % nw];
-            *a ^= (lo >> bs) | (hi << (64 - bs));
+        let hi = seg[ws + 1..].iter().chain(&seg[..ws + 1]);
+        for ((a, &l), &h) in acc.iter_mut().zip(lo).zip(hi) {
+            *a ^= (l >> bs) | (h << (64 - bs));
         }
     }
+}
+
+/// Per-thread decode buffers. They are sized on a thread's first decode
+/// and reused by every later one, so a decode allocates only the word it
+/// returns.
+#[derive(Default)]
+struct Scratch {
+    /// Channel LLRs of the hard-decision word [`MinSumDecoder::decode`]
+    /// was given.
+    llr: Vec<f32>,
+    kernel: KernelScratch,
+}
+
+/// The min-sum kernel's working set (see [`MinSumDecoder::decode_llr`]).
+#[derive(Default)]
+struct KernelScratch {
+    /// Edge-major check-to-variable messages, one `t`-float slab per
+    /// block. Never cleared: the first iteration does not read it.
+    c2v: Vec<f32>,
+    /// Variable totals (channel LLR plus every incoming message).
+    total: Vec<f32>,
+    /// Buffered v2c messages of one block row.
+    v2c: Vec<f32>,
+    /// Per-check sign product, two minima and argmin slot, `t` lanes each.
+    sign: Vec<f32>,
+    min1: Vec<f32>,
+    min2: Vec<f32>,
+    slot: Vec<u32>,
+    /// One block row's syndrome words.
+    acc: Vec<u64>,
+}
+
+impl KernelScratch {
+    /// Sets every buffer to `g`'s length; contents are left unspecified.
+    fn fit(&mut self, g: &Graph) {
+        let t = g.t;
+        self.c2v.resize(g.edge_floats, 0.0);
+        self.total.resize(g.n, 0.0);
+        self.v2c.resize(g.max_row_blocks * t, 0.0);
+        self.sign.resize(t, 0.0);
+        self.min1.resize(t, 0.0);
+        self.min2.resize(t, 0.0);
+        self.slot.resize(t, 0);
+        self.acc.resize(t / 64, 0);
+    }
+}
+
+thread_local! {
+    static SCRATCH: Cell<Scratch> = Cell::default();
+}
+
+/// Runs `f` on this thread's decode buffers. They are moved out of the
+/// thread-local for the call, so a nested call simply starts empty.
+fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let out = f(&mut scratch);
+    SCRATCH.set(scratch);
+    out
 }
 
 /// Normalized min-sum decoder.
@@ -271,24 +333,41 @@ impl MinSumDecoder {
 
     /// Decodes a received hard-decision word.
     pub fn decode(&self, received: &BitVec) -> DecodeOutcome {
-        self.decode_llr(&self.hard_llr(received))
+        with_scratch(|s| {
+            self.hard_llr_into(received, &mut s.llr);
+            self.decode_llr_dispatch(&s.llr, &mut s.kernel)
+        })
     }
 
-    /// Reference-path twin of [`MinSumDecoder::decode`].
+    /// Reference-path twin of [`MinSumDecoder::decode`]: builds the
+    /// channel LLRs one `BitVec::get` per bit.
     pub fn decode_reference(&self, received: &BitVec) -> DecodeOutcome {
-        self.decode_llr_reference(&self.hard_llr(received))
+        self.check_received(received);
+        let llr: Vec<f32> = (0..self.graph.n)
+            .map(|v| if received.get(v) { -1.0 } else { 1.0 })
+            .collect();
+        self.decode_llr_reference(&llr)
     }
 
-    /// Channel LLRs for a hard-decision word: +1 for received 0, -1 for 1.
-    fn hard_llr(&self, received: &BitVec) -> Vec<f32> {
+    /// Panics unless `received` is codeword-length.
+    fn check_received(&self, received: &BitVec) {
         assert_eq!(
             received.len(),
             self.graph.n,
             "received word length mismatch"
         );
-        (0..self.graph.n)
-            .map(|v| if received.get(v) { -1.0 } else { 1.0 })
-            .collect()
+    }
+
+    /// Channel LLRs for a hard-decision word into `out`, a packed word at
+    /// a time: +1 for received 0, -1 for 1.
+    fn hard_llr_into(&self, received: &BitVec, out: &mut Vec<f32>) {
+        self.check_received(received);
+        out.resize(self.graph.n, 0.0);
+        for (chunk, &word) in out.chunks_exact_mut(64).zip(received.as_words()) {
+            for (b, o) in chunk.iter_mut().enumerate() {
+                *o = if (word >> b) & 1 == 1 { -1.0 } else { 1.0 };
+            }
+        }
     }
 
     /// Decodes from per-bit channel log-likelihood ratios (positive =
@@ -307,7 +386,10 @@ impl MinSumDecoder {
     ///   the sign/two-min scan and the output scan share it;
     /// * the two-min/sign tracking is select-based (no branches), over
     ///   `t` independent lanes at a time;
-    /// * the convergence test is the word-packed rotate-XOR syndrome.
+    /// * hard decisions are packed 64 lanes to a word and the
+    ///   convergence test is the word-packed rotate-XOR syndrome;
+    /// * all working buffers are per-thread and reused, so a decode
+    ///   allocates only the word it returns.
     ///
     /// Every float is produced by the same operands in the same order as
     /// [`MinSumDecoder::decode_llr_reference`], so outcomes are
@@ -317,36 +399,76 @@ impl MinSumDecoder {
     ///
     /// Panics if `llr` is not codeword-length.
     pub fn decode_llr(&self, llr: &[f32]) -> DecodeOutcome {
+        with_scratch(|s| self.decode_llr_dispatch(llr, &mut s.kernel))
+    }
+
+    /// Runs the widest instantiation of [`MinSumDecoder::decode_llr_impl`]
+    /// this CPU supports: AVX-512, then AVX2, then the portable body.
+    fn decode_llr_dispatch(&self, llr: &[f32], s: &mut KernelScratch) -> DecodeOutcome {
         // The kernel is all independent-lane selects, abs, min and adds —
         // exactly the shape LLVM vectorizes — but the baseline x86-64
-        // target only has SSE2. Compile the same body a second time with
-        // AVX2 enabled and pick at runtime; per-lane float ops are exact,
-        // so both instantiations produce bit-identical outcomes.
+        // target only has SSE2. The same body is compiled again with
+        // wider vector ISAs and picked at runtime. Per-lane float ops are
+        // exact at any vector width and Rust never contracts them into
+        // FMA, so every instantiation produces bit-identical outcomes.
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: the avx2 cpuid bit was just checked.
-            return unsafe { self.decode_llr_avx2(llr) };
+        {
+            if has_avx512() {
+                // SAFETY: `has_avx512` just checked the avx512f, avx512bw,
+                // avx512vl and avx512dq cpuid bits this body is built for.
+                return unsafe { self.decode_llr_avx512(llr, s) };
+            }
+            if std::arch::is_x86_feature_detected!("avx2") {
+                // SAFETY: the avx2 cpuid bit was just checked.
+                return unsafe { self.decode_llr_avx2(llr, s) };
+            }
         }
-        self.decode_llr_impl(llr)
+        self.decode_llr_impl(llr, s)
+    }
+
+    /// AVX-512 instantiation of [`MinSumDecoder::decode_llr_impl`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support avx512f, avx512bw, avx512vl and avx512dq
+    /// (see `has_avx512`).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512dq")]
+    unsafe fn decode_llr_avx512(&self, llr: &[f32], s: &mut KernelScratch) -> DecodeOutcome {
+        self.decode_llr_impl(llr, s)
     }
 
     /// AVX2 instantiation of [`MinSumDecoder::decode_llr_impl`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support avx2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    unsafe fn decode_llr_avx2(&self, llr: &[f32]) -> DecodeOutcome {
-        self.decode_llr_impl(llr)
+    unsafe fn decode_llr_avx2(&self, llr: &[f32], s: &mut KernelScratch) -> DecodeOutcome {
+        self.decode_llr_impl(llr, s)
     }
 
     #[inline(always)]
-    fn decode_llr_impl(&self, llr: &[f32]) -> DecodeOutcome {
+    fn decode_llr_impl(&self, llr: &[f32], s: &mut KernelScratch) -> DecodeOutcome {
         let g = &self.graph;
         assert_eq!(llr.len(), g.n, "LLR vector length mismatch");
         let t = g.t;
+        s.fit(g);
+        let KernelScratch {
+            c2v,
+            total,
+            v2c,
+            sign,
+            min1,
+            min2,
+            slot,
+            acc,
+        } = s;
 
-        let nw = g.n / 64;
-        let mut hard = vec![0u64; nw];
+        let mut hard = vec![0u64; g.n / 64];
         pack_hard(llr, &mut hard);
-        if g.syndrome_clear_words(&hard) {
+        if g.syndrome_clear_words(&hard, acc) {
             return DecodeOutcome {
                 success: true,
                 iterations: 0,
@@ -354,27 +476,27 @@ impl MinSumDecoder {
             };
         }
 
-        let mut c2v = vec![0.0f32; g.edge_floats];
-        let mut total = llr.to_vec();
-        // Per-block-row scratch: buffered v2c messages plus the per-check
-        // sign product, two minima and argmin slot, t lanes each.
-        let mut v2c = vec![0.0f32; g.max_row_blocks * t];
-        let mut sign = vec![0.0f32; t];
-        let mut min1 = vec![0.0f32; t];
-        let mut min2 = vec![0.0f32; t];
-        let mut slot = vec![0u32; t];
-
         for iter in 1..=self.max_iterations {
+            // Before the first variable pass every stored message is zero
+            // and every total is the channel LLR, so the first iteration
+            // reads `llr` and skips the subtraction (x - 0.0 == x for
+            // every float); `c2v` and `total` need no initialisation.
+            let first = iter == 1;
+            let totals: &[f32] = if first { llr } else { total };
             for row in &g.plan_rows {
                 // v2c = rotated total segment minus the stored message;
                 // the rotation makes both reads sequential (two runs).
                 for (b, &(col, shift, off)) in row.iter().enumerate() {
-                    let msg = &c2v[off..off + t];
-                    let tot = &total[col * t..(col + 1) * t];
+                    let tot = &totals[col * t..(col + 1) * t];
                     let buf = &mut v2c[b * t..(b + 1) * t];
                     let split = t - shift;
                     let (buf_lo, buf_hi) = buf.split_at_mut(split);
-                    let (msg_lo, msg_hi) = msg.split_at(split);
+                    if first {
+                        buf_lo.copy_from_slice(&tot[shift..]);
+                        buf_hi.copy_from_slice(&tot[..shift]);
+                        continue;
+                    }
+                    let (msg_lo, msg_hi) = c2v[off..off + t].split_at(split);
                     for ((o, &m), &tv) in buf_lo.iter_mut().zip(msg_lo).zip(&tot[shift..]) {
                         *o = tv - m;
                     }
@@ -426,31 +548,24 @@ impl MinSumDecoder {
             // (ascending block row — the reference accumulation order).
             for (j, col_blocks) in g.plan_cols.iter().enumerate() {
                 let lo = j * t;
-                total[lo..lo + t].copy_from_slice(&llr[lo..lo + t]);
+                let seg = &mut total[lo..lo + t];
+                seg.copy_from_slice(&llr[lo..lo + t]);
                 for &(off, shift) in col_blocks {
                     let msg = &c2v[off..off + t];
-                    let s = (t - shift) % t;
-                    let seg = &mut total[lo..lo + t];
-                    let split = t - s;
-                    let (seg_lo, seg_hi) = seg.split_at_mut(split);
-                    for (o, &m) in seg_lo.iter_mut().zip(&msg[s..]) {
+                    let back = (t - shift) % t;
+                    let (seg_lo, seg_hi) = seg.split_at_mut(t - back);
+                    for (o, &m) in seg_lo.iter_mut().zip(&msg[back..]) {
                         *o += m;
                     }
-                    for (o, &m) in seg_hi.iter_mut().zip(&msg[..s]) {
+                    for (o, &m) in seg_hi.iter_mut().zip(&msg[..back]) {
                         *o += m;
                     }
                 }
             }
 
             // Word-packed hard decision and syndrome check.
-            for (w, h) in hard.iter_mut().enumerate() {
-                let mut word = 0u64;
-                for b in 0..64 {
-                    word |= u64::from(total[w * 64 + b] < 0.0) << b;
-                }
-                *h = word;
-            }
-            if g.syndrome_clear_words(&hard) {
+            pack_hard(total, &mut hard);
+            if g.syndrome_clear_words(&hard, acc) {
                 return DecodeOutcome {
                     success: true,
                     iterations: iter,
@@ -552,15 +667,26 @@ impl MinSumDecoder {
     }
 }
 
-/// Packs the sign bits of `llr` into `hard` (bit set ⇔ LLR < 0 ⇔ bit 1).
+/// Packs the hard decisions of `llr` into `hard` (bit set ⇔ LLR < 0 ⇔
+/// bit 1), 64 lanes to a word — a shape LLVM turns into vector compares.
+#[inline(always)]
 fn pack_hard(llr: &[f32], hard: &mut [u64]) {
-    for (w, h) in hard.iter_mut().enumerate() {
-        let mut word = 0u64;
-        for b in 0..64 {
-            word |= u64::from(llr[w * 64 + b] < 0.0) << b;
-        }
-        *h = word;
+    for (h, lanes) in hard.iter_mut().zip(llr.chunks_exact(64)) {
+        *h = lanes
+            .iter()
+            .enumerate()
+            .fold(0, |word, (b, &l)| word | (u64::from(l < 0.0) << b));
     }
+}
+
+/// True when the CPU has every AVX-512 subset the wide kernel is built
+/// with.
+#[cfg(target_arch = "x86_64")]
+fn has_avx512() -> bool {
+    std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512bw")
+        && std::arch::is_x86_feature_detected!("avx512vl")
+        && std::arch::is_x86_feature_detected!("avx512dq")
 }
 
 /// Gallager-B hard-decision bit-flipping decoder.
@@ -802,6 +928,47 @@ mod tests {
                     bf.decode_reference(&noisy),
                     "bit-flip at p={p}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn every_compiled_instantiation_matches_reference() {
+        // Call each body directly so the CPU's widest path cannot hide a
+        // broken narrower one; the SIMD bodies run only where the CPU has
+        // their features.
+        for code in [QcLdpcCode::small_test(), QcLdpcCode::medium()] {
+            let dec = MinSumDecoder::new(&code);
+            let mut rng = SimRng::seed_from(0x1A5E);
+            let mut scratch = KernelScratch::default();
+            for &p in &[0.002, 0.006, 0.009, 0.02] {
+                for _ in 0..3 {
+                    let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
+                    let noisy = Bsc::new(p).corrupt(&cw, &mut rng);
+                    let mut llr = Vec::new();
+                    dec.hard_llr_into(&noisy, &mut llr);
+                    let reference = dec.decode_llr_reference(&llr);
+                    let n = code.n();
+                    assert_eq!(
+                        dec.decode_llr_impl(&llr, &mut scratch),
+                        reference,
+                        "portable body, n={n} p={p}"
+                    );
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        if std::arch::is_x86_feature_detected!("avx2") {
+                            // SAFETY: guarded by the avx2 cpuid check above.
+                            let avx2 = unsafe { dec.decode_llr_avx2(&llr, &mut scratch) };
+                            assert_eq!(avx2, reference, "AVX2 body, n={n} p={p}");
+                        }
+                        if has_avx512() {
+                            // SAFETY: guarded by `has_avx512`, which checks
+                            // avx512f, avx512bw, avx512vl and avx512dq.
+                            let avx512 = unsafe { dec.decode_llr_avx512(&llr, &mut scratch) };
+                            assert_eq!(avx512, reference, "AVX-512 body, n={n} p={p}");
+                        }
+                    }
+                }
             }
         }
     }

@@ -72,7 +72,10 @@ cargo test -q -p rif-server --features proptest --test proptest_frames
 cargo test -q -p rif-cluster --features proptest --test proptest_map
 
 echo "==> perf_smoke --quick"
-cargo run -q --release -p rif-bench --bin perf_smoke -- --quick
+# Written to the temp dir: the checked-in BENCH_ldpc.json is a full run.
+cargo run -q --release -p rif-bench --bin perf_smoke -- --quick \
+    --out "$tmpdir/BENCH_ldpc.json"
+grep -q '"code": "paper"' "$tmpdir/BENCH_ldpc.json"
 
 echo "==> benchmark self-checks (stackbench, 1 s per workload)"
 # Exit 0 means every repeated round reproduced the first byte for byte

@@ -3,15 +3,18 @@
 //! thread-count invariant.
 //!
 //! The fast min-sum path buffers each `v2c` message and works block-major
-//! on the quasi-cyclic structure (with an AVX2 instantiation picked at
-//! runtime); the bit-flip decoder counts parity word-packed. Both are pure
-//! reorderings of exact float/integer operations, so `DecodeOutcome`s —
-//! success flag, iteration count and decoded word — must match the
-//! references on every input, not just statistically.
+//! on the quasi-cyclic structure (with AVX-512 and AVX2 instantiations
+//! picked at runtime); the bit-flip decoder counts parity word-packed.
+//! Both are pure reorderings of exact float/integer operations, so
+//! `DecodeOutcome`s — success flag, iteration count and decoded word —
+//! must match the references on every input, not just statistically.
+//! The min-sum checks cover hard and soft inputs on the 64-bit-circulant
+//! test code and on the paper's 1024-bit-circulant code, whose rotations
+//! split every message slab at a different point.
 
 use rif_events::SimRng;
 use rif_ldpc::bits::BitVec;
-use rif_ldpc::channel::Bsc;
+use rif_ldpc::channel::{Bsc, SoftChannel};
 use rif_ldpc::decoder::{BitFlipDecoder, MinSumDecoder};
 use rif_ldpc::QcLdpcCode;
 use rif_odear::rp::ReadRetryPredictor;
@@ -41,6 +44,53 @@ fn min_sum_fast_path_is_bit_identical_to_reference() {
         let fast = dec.decode(noisy);
         let reference = dec.decode_reference(noisy);
         assert_eq!(fast, reference, "min-sum outcome diverged on word {i}");
+    }
+}
+
+#[test]
+fn min_sum_fast_path_is_bit_identical_on_the_paper_code() {
+    // Below, at and above the paper code's capability: a 7-iteration
+    // decode, a 16-iteration decode and a 20-iteration failure.
+    let code = QcLdpcCode::paper();
+    let dec = MinSumDecoder::new(&code);
+    let mut rng = SimRng::seed_from(0xB16C0DE);
+    for &rber in &[0.004, 0.0085, 0.012] {
+        let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
+        let noisy = Bsc::new(rber).corrupt(&cw, &mut rng);
+        let fast = dec.decode(&noisy);
+        let reference = dec.decode_reference(&noisy);
+        assert_eq!(fast, reference, "min-sum outcome diverged at rber {rber}");
+    }
+}
+
+#[test]
+fn min_sum_soft_inputs_are_bit_identical_to_reference() {
+    // Gaussian LLRs exercise every magnitude path of the two-min scan,
+    // which ±1 hard inputs never reach.
+    let mut rng = SimRng::seed_from(0x50F7);
+    let small = QcLdpcCode::small_test();
+    let paper = QcLdpcCode::paper();
+    // Quick, long and failing (20-iteration) decodes on both codes.
+    let cases = [
+        (&small, 0.01),
+        (&small, 0.02),
+        (&small, 0.025),
+        (&small, 0.06),
+        (&paper, 0.02),
+        (&paper, 0.06),
+    ];
+    for (code, rber) in cases {
+        let dec = MinSumDecoder::new(code);
+        let cw = code.encode(&BitVec::random(code.data_bits(), &mut rng));
+        let llr = SoftChannel::new(rber).transmit(&cw, &mut rng);
+        let fast = dec.decode_llr(&llr);
+        let reference = dec.decode_llr_reference(&llr);
+        assert_eq!(
+            fast,
+            reference,
+            "soft min-sum diverged at n={} rber {rber}",
+            code.n()
+        );
     }
 }
 
