@@ -6,7 +6,9 @@
 //! has a primary plus rendezvous-chosen followers) and optionally with a
 //! fault-injecting [`ChaosProxy`] between the router and every node. A
 //! routed closed-loop client drives mixed READ/WRITE traffic while a
-//! timeline thread executes the scheduled chaos:
+//! timeline thread executes the scheduled chaos. The timeline's clock
+//! starts once every node it will kill has admitted client I/O, so each
+//! kill severs a connection the router really holds:
 //!
 //! - **node kills** — hard-kills ([`Server::kill`]) from the plan's
 //!   `nodekill=` schedule (or the legacy hottest-node single kill), each
@@ -143,6 +145,17 @@ pub struct ClusterOutcome {
     /// Whether the restarted directory restored its map byte-identically
     /// (set only when the restart event ran).
     pub dir_restart_identical: Option<bool>,
+}
+
+/// Longest the event clock waits for every kill target to admit client
+/// I/O before the timeline starts anyway.
+const CLIENT_IO_WAIT: Duration = Duration::from_secs(5);
+
+/// True once `node` has admitted a client READ or WRITE. Replication
+/// applies do not bump these counters.
+fn has_client_io(node: &Server) -> bool {
+    let m = node.metrics_snapshot();
+    m.counter("server.requests.read") + m.counter("server.requests.write") > 0
 }
 
 /// One scheduled chaos action on the run's timeline.
@@ -321,9 +334,22 @@ pub fn run_cluster_scenario(cfg: &ClusterScenarioConfig) -> io::Result<ClusterOu
     let mut kills_fired = 0usize;
     let mut partitions_fired = 0usize;
     let mut dir_restart_identical: Option<bool> = None;
-    let started = Instant::now();
     let loaded = thread::scope(|s| {
         let loader = s.spawn(|| rif_cluster::run_routed(&router_cfg));
+        // The router counts a connection loss only on a connection it
+        // already holds, so a kill that lands before the router has sent
+        // the target any I/O is invisible. Start the event clock once
+        // every kill target has admitted client I/O, bounded so a router
+        // that never gets going still runs the schedule.
+        let targets: Vec<&Server> = kills
+            .iter()
+            .filter_map(|k| servers[k.node].as_ref())
+            .collect();
+        let ready_by = Instant::now() + CLIENT_IO_WAIT;
+        while Instant::now() < ready_by && !targets.iter().all(|n| has_client_io(n)) {
+            thread::sleep(Duration::from_millis(1));
+        }
+        let started = Instant::now();
         for (at, ev) in events {
             let elapsed = started.elapsed();
             if at > elapsed {

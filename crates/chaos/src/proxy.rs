@@ -200,7 +200,7 @@ impl ChaosProxy {
             thread::Builder::new()
                 .name("chaos-accept".into())
                 .spawn(move || {
-                    accept_loop(listener, upstream, plan, t_shutdown, t_stats, t_partition);
+                    accept_clients(listener, upstream, plan, t_shutdown, t_stats, t_partition);
                 })?;
 
         Ok(ChaosProxy {
@@ -256,7 +256,7 @@ impl Drop for ChaosProxy {
     }
 }
 
-fn accept_loop(
+fn accept_clients(
     listener: TcpListener,
     upstream: SocketAddr,
     plan: FaultPlan,

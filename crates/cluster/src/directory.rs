@@ -238,7 +238,7 @@ impl Directory {
         let dir = Directory {
             addr,
             inner: inner.clone(),
-            accept: Some(thread::spawn(move || accept_loop(listener, inner))),
+            accept: Some(thread::spawn(move || accept_clients(listener, inner))),
         };
         dir.push_all();
         Ok(dir)
@@ -445,7 +445,7 @@ fn fanout_stats(map: &ShardMap) -> String {
     cluster_report(&per_node)
 }
 
-fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
+fn accept_clients(listener: TcpListener, inner: Arc<Inner>) {
     let mut handlers = Vec::new();
     while !inner.stop.load(Ordering::SeqCst) {
         match listener.accept() {

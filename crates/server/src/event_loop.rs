@@ -32,12 +32,11 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::poller::{best_poller, Interest, PollEvent, Poller, Waker};
-use crate::protocol::{BusyReason, ErrorCode, Response, PROTOCOL_VERSION};
+use crate::protocol::{BatchEntry, BusyReason, Response, PROTOCOL_VERSION};
 use crate::ring::{decode_request_view, RecvBuffer, RequestView, WriteQueue};
 use crate::server::{
-    admit_batch, admit_io, at_conn_limit, handle_map_push, handle_migrate_in, handle_migrate_out,
-    handle_replicate, refuse_over_limit, reject_unnegotiated_batch, render_stats, RangeStatus,
-    Shared,
+    admit_batch, admit_io, at_conn_limit, handle_map_push, handle_migrate_in, handle_replicate,
+    refuse_bad_request, refuse_over_limit, render_stats, RangeStatus, Shared,
 };
 use crate::shard::{ReplyTo, ShardMsg};
 use rif_workloads::IoOp;
@@ -455,12 +454,9 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
         let view = match decode_request_view(payload) {
             Ok(view) => view,
             Err(_) => {
-                shared.metrics().inc("server.protocol_errors", 1);
-                // Frame boundaries survived; the stream stays usable.
-                reply.send(Response::Error {
-                    tag: 0,
-                    code: ErrorCode::BadRequest,
-                });
+                // Frame boundaries survived, so the stream stays
+                // usable; tag 0 because none decoded.
+                refuse_bad_request(shared, reply, 0);
                 continue;
             }
         };
@@ -475,24 +471,8 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 tag,
                 offset,
                 bytes,
-            } => {
-                if overloaded {
-                    shed(shared, reply, tag, 1);
-                } else {
-                    admit_io(
-                        shared,
-                        reply,
-                        tenant,
-                        tag,
-                        offset,
-                        bytes,
-                        IoOp::Read,
-                        0,
-                        conn.negotiated,
-                    );
-                }
             }
-            RequestView::Write {
+            | RequestView::Write {
                 tenant,
                 tag,
                 offset,
@@ -501,27 +481,32 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 if overloaded {
                     shed(shared, reply, tag, 1);
                 } else {
-                    admit_io(
-                        shared,
-                        reply,
+                    let op = if matches!(view, RequestView::Read { .. }) {
+                        IoOp::Read
+                    } else {
+                        IoOp::Write
+                    };
+                    let io = BatchEntry {
+                        op,
                         tenant,
                         tag,
                         offset,
                         bytes,
-                        IoOp::Write,
-                        0,
-                        conn.negotiated,
-                    );
+                        retry_of: 0,
+                    };
+                    admit_io(shared, reply, io, conn.negotiated);
                 }
             }
             RequestView::Batch(batch) => {
                 if conn.negotiated < 2 {
+                    // A v2-only message on a v1 connection: refused
+                    // whole, by its first tag.
                     let tag = if batch.count() == 0 {
                         0
                     } else {
                         batch.entry(0).tag
                     };
-                    reject_unnegotiated_batch(shared, reply, tag);
+                    refuse_bad_request(shared, reply, tag);
                 } else if overloaded {
                     shared.metrics().inc("server.batches", 1);
                     for e in batch.iter() {
@@ -579,11 +564,7 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
             }
             RequestView::Migrate { tag, .. } => {
                 // Directory-only operation; a node refuses it.
-                shared.metrics().inc("server.protocol_errors", 1);
-                reply.send(Response::Error {
-                    tag,
-                    code: ErrorCode::BadRequest,
-                });
+                refuse_bad_request(shared, reply, tag);
             }
             RequestView::Replicate {
                 tag,
@@ -618,7 +599,7 @@ fn drain_frames(conn: &mut Conn, shared: &Arc<Shared>, reply: &ReplyTo) -> bool 
                 conn.close_after_flush = true;
                 shared.shutdown.store(true, Ordering::Release);
                 // Anything pipelined behind SHUTDOWN is intentionally
-                // not served, matching the threaded core.
+                // not served: GOODBYE is the connection's last frame.
                 return false;
             }
         }
@@ -661,30 +642,45 @@ fn flush_async(shared: &Arc<Shared>, reply: &ReplyTo, tag: u64) {
 /// MIGRATE_OUT without stalling the loop: the range is sealed inline
 /// (so the bounce takes effect before the next frame is read), then an
 /// ephemeral thread waits out the shard drain and sends the `Migrated`
-/// reply through the completion channel.
+/// reply, carrying the learner snapshot, through the completion channel.
 fn migrate_out_async(shared: &Arc<Shared>, reply: &ReplyTo, tag: u64, range: u32) {
     if shared.cluster.is_none() || range as usize >= shared.cfg.shards {
-        shared.metrics().inc("server.protocol_errors", 1);
-        reply.send(Response::Error {
-            tag,
-            code: ErrorCode::BadRequest,
-        });
+        refuse_bad_request(shared, reply, tag);
         return;
     }
-    // Seal before the loop reads the next frame, so no request pipelined
-    // behind the MIGRATE_OUT can slip into the shard after the drain
-    // starts (the handler's own seal is then a harmless re-set).
+    // Seal strictly before the Yield is queued: everything admitted
+    // earlier is already in the worker's channel ahead of the Yield, so
+    // the drain covers it; everything pipelined behind the MIGRATE_OUT
+    // bounces at admission.
     shared.cluster_state().status[range as usize] = RangeStatus::Moving;
+    shared.metrics().inc("server.migrations.out", 1);
     let sh = Arc::clone(shared);
     let thread_reply = reply.clone();
     let spawned = std::thread::Builder::new()
         .name("rif-migrate".into())
         .spawn(move || {
-            handle_migrate_out(&sh, &thread_reply, tag, range);
+            let state = yield_range(&sh, range);
+            thread_reply.send(Response::Migrated { tag, range, state });
         });
     if let Err(e) = spawned {
         eprintln!("rif-server: migrate thread spawn failed ({e}); draining inline");
-        handle_migrate_out(shared, reply, tag, range);
+        let state = yield_range(shared, range);
+        reply.send(Response::Migrated { tag, range, state });
+    }
+}
+
+/// Drains shard `range` and returns its learner snapshot.
+fn yield_range(shared: &Shared, range: u32) -> String {
+    let (state_tx, state_rx) = mpsc::channel();
+    match shared.shards[range as usize]
+        .tx
+        .send(ShardMsg::Yield(state_tx))
+    {
+        Ok(()) => state_rx.recv().unwrap_or_default(),
+        // Worker gone (stopping node): hand off without a snapshot — the
+        // learner state is a performance hint, the seal is what
+        // correctness needs.
+        Err(_) => String::new(),
     }
 }
 

@@ -6,8 +6,8 @@
 //! submitted at the current virtual time, and the worker repeatedly
 //! advances its simulator up to the [`VirtualClock`]'s *now* — which is
 //! what turns the discrete-event core into a live, wall-clock-paced
-//! service. Completions are answered directly to each request's
-//! originating connection through the reply sender carried in the
+//! service. Completions go straight back to each request's originating
+//! connection through the [`ReplyTo`] route carried in the
 //! [`Submission`].
 //!
 //! # Crash injection
@@ -47,20 +47,17 @@ use crate::poller::Waker;
 use crate::protocol::{BusyReason, ErrorCode, Response};
 use crate::recorder::TraceRecorder;
 
-/// Where a completion goes. The threaded core hands each connection's
-/// writer channel to the shard; the event-loop core funnels every
-/// completion through one queue and pulls the loop out of its poll wait.
+/// Where a completion goes: the event loop funnels every completion
+/// through one queue and pulls itself out of its poll wait.
 #[derive(Clone)]
 pub enum ReplyTo {
-    /// A connection writer thread's private channel (threaded core).
-    Channel(Sender<Response>),
-    /// The event loop's shared completion queue (event-loop core).
+    /// The event loop's shared completion queue.
     Event {
         /// The loop's single completion queue.
         tx: Sender<(u64, Response)>,
         /// Generation-tagged connection key the loop routes by; a late
         /// completion for a recycled slot is dropped by the generation
-        /// check, exactly like a send to a dead connection's channel.
+        /// check.
         key: u64,
         /// Wakes the loop out of a blocking poll wait.
         waker: Waker,
@@ -70,7 +67,7 @@ pub enum ReplyTo {
     /// refusals (`Busy`, `Error`) pass through unchanged so the primary
     /// sees the shipment did not land.
     Replication {
-        /// The underlying destination (connection channel or loop queue).
+        /// The underlying destination on the loop's queue.
         inner: Box<ReplyTo>,
         /// The range the shipment belongs to, echoed in the ack.
         range: u32,
@@ -80,14 +77,10 @@ pub enum ReplyTo {
 }
 
 impl ReplyTo {
-    /// Delivers `resp`. A closed receiver means the connection (or the
-    /// whole loop) is gone; the response is dropped, as with a dead
-    /// connection's channel in the threaded core.
+    /// Delivers `resp`. A closed receiver means the whole loop is gone;
+    /// the response is dropped.
     pub fn send(&self, resp: Response) {
         match self {
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(resp);
-            }
             ReplyTo::Event { tx, key, waker } => {
                 if tx.send((*key, resp)).is_ok() {
                     waker.wake();
@@ -156,7 +149,8 @@ pub struct Submission {
     pub offset: u64,
     /// Transfer size.
     pub bytes: u32,
-    /// Where the completion goes (the originating connection's writer).
+    /// Where the completion goes (the originating connection's slot on
+    /// the event loop's completion queue).
     pub reply: ReplyTo,
 }
 
@@ -523,6 +517,17 @@ fn run_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::os::unix::net::UnixStream;
+    use std::sync::mpsc;
+
+    /// The event loop's reply path without the loop: completions land
+    /// on an mpsc queue and kick a waker. Keep the returned read end
+    /// alive for as long as replies may arrive.
+    fn event_reply() -> (ReplyTo, Receiver<(u64, Response)>, UnixStream) {
+        let (tx, rx) = mpsc::channel();
+        let (waker, waker_rx) = Waker::new().expect("waker pipe");
+        (ReplyTo::Event { tx, key: 0, waker }, rx, waker_rx)
+    }
 
     #[test]
     fn partition_covers_capacity_exactly() {
@@ -563,7 +568,6 @@ mod tests {
     #[test]
     fn crashed_worker_fails_pending_and_bounces_then_restarts() {
         use rif_ssd::RetryKind;
-        use std::sync::mpsc;
 
         let clock = VirtualClock::start(1000.0);
         let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
@@ -586,7 +590,7 @@ mod tests {
         )
         .expect("spawn shard");
 
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply, replies, _waker_rx) = event_reply();
         // Submit one request, then crash before it can complete. The
         // reserved in-flight slot is what the worker must release.
         handle.inflight.fetch_add(1, Ordering::AcqRel);
@@ -595,7 +599,7 @@ mod tests {
             op: IoOp::Read,
             offset: 0,
             bytes: 4096,
-            reply: ReplyTo::Channel(reply_tx.clone()),
+            reply: reply.clone(),
         }))
         .unwrap();
         tx.send(ShardMsg::Crash {
@@ -603,7 +607,7 @@ mod tests {
         })
         .unwrap();
 
-        let first = reply_rx
+        let (_, first) = replies
             .recv_timeout(Duration::from_secs(5))
             .expect("crash must resolve the in-flight request");
         // Either the request completed before the crash landed (DONE) or
@@ -629,10 +633,10 @@ mod tests {
             op: IoOp::Read,
             offset: 0,
             bytes: 4096,
-            reply: ReplyTo::Channel(reply_tx.clone()),
+            reply: reply.clone(),
         }))
         .unwrap();
-        let bounced = reply_rx
+        let (_, bounced) = replies
             .recv_timeout(Duration::from_secs(5))
             .expect("dead shard must answer, not hang");
         assert_eq!(
@@ -652,10 +656,10 @@ mod tests {
             op: IoOp::Write,
             offset: 4096,
             bytes: 4096,
-            reply: ReplyTo::Channel(reply_tx),
+            reply: reply.clone(),
         }))
         .unwrap();
-        let served = reply_rx
+        let (_, served) = replies
             .recv_timeout(Duration::from_secs(10))
             .expect("restarted shard must serve");
         assert!(
@@ -671,7 +675,6 @@ mod tests {
     #[test]
     fn learned_shard_exports_learner_gauges() {
         use rif_ssd::{LearnerConfig, LearningMode, RetryKind};
-        use std::sync::mpsc;
 
         let clock = VirtualClock::start(10_000.0);
         let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
@@ -695,7 +698,7 @@ mod tests {
         )
         .expect("spawn shard");
 
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply, replies, _waker_rx) = event_reply();
         for i in 0..8u64 {
             handle.inflight.fetch_add(1, Ordering::AcqRel);
             tx.send(ShardMsg::Submit(Submission {
@@ -703,12 +706,12 @@ mod tests {
                 op: IoOp::Read,
                 offset: i * 65536,
                 bytes: 65536,
-                reply: ReplyTo::Channel(reply_tx.clone()),
+                reply: reply.clone(),
             }))
             .unwrap();
         }
         for _ in 0..8 {
-            let r = reply_rx
+            let (_, r) = replies
                 .recv_timeout(Duration::from_secs(10))
                 .expect("learned shard must serve");
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
@@ -728,7 +731,6 @@ mod tests {
     #[test]
     fn hybrid_shard_exports_bg_gauges() {
         use rif_ssd::{HybridConfig, MigrationPolicy, RetryKind};
-        use std::sync::mpsc;
 
         let clock = VirtualClock::start(10_000.0);
         let metrics = Arc::new(Mutex::new(MetricsRegistry::new()));
@@ -758,15 +760,15 @@ mod tests {
         )
         .expect("spawn shard");
 
-        let (reply_tx, reply_rx) = mpsc::channel();
-        let mut submit = |tag: u64, op: IoOp| {
+        let (reply, replies, _waker_rx) = event_reply();
+        let submit = |tag: u64, op: IoOp| {
             handle.inflight.fetch_add(1, Ordering::AcqRel);
             tx.send(ShardMsg::Submit(Submission {
                 tag,
                 op,
                 offset: tag * 65536,
                 bytes: 65536,
-                reply: ReplyTo::Channel(reply_tx.clone()),
+                reply: reply.clone(),
             }))
             .unwrap();
         };
@@ -776,7 +778,7 @@ mod tests {
             submit(i, IoOp::Write);
         }
         for _ in 0..8 {
-            let r = reply_rx
+            let (_, r) = replies
                 .recv_timeout(Duration::from_secs(10))
                 .expect("hybrid shard must serve writes");
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
@@ -788,7 +790,7 @@ mod tests {
             submit(i, IoOp::Read);
         }
         for _ in 0..8 {
-            let r = reply_rx
+            let (_, r) = replies
                 .recv_timeout(Duration::from_secs(10))
                 .expect("hybrid shard must serve reads");
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
@@ -809,7 +811,6 @@ mod tests {
     #[test]
     fn yield_then_adopt_carries_learner_state_across_workers() {
         use rif_ssd::{LearnerConfig, LearnerState, LearningMode, RetryKind};
-        use std::sync::mpsc;
 
         let clock = VirtualClock::start(10_000.0);
         let mut cfg = SsdConfig::small(RetryKind::Rif, 2000);
@@ -838,7 +839,7 @@ mod tests {
 
         // Warm the source learner, with the last submission still in
         // flight when the Yield lands — the drain must cover it.
-        let (reply_tx, reply_rx) = mpsc::channel();
+        let (reply, replies, _waker_rx) = event_reply();
         for i in 0..8u64 {
             src.inflight.fetch_add(1, Ordering::AcqRel);
             src_tx
@@ -847,7 +848,7 @@ mod tests {
                     op: IoOp::Read,
                     offset: i * 65536,
                     bytes: 65536,
-                    reply: ReplyTo::Channel(reply_tx.clone()),
+                    reply: reply.clone(),
                 }))
                 .unwrap();
         }
@@ -859,7 +860,7 @@ mod tests {
         // All 8 submissions preceded the Yield in the channel, so the
         // snapshot reflects every one of them.
         for _ in 0..8 {
-            let r = reply_rx
+            let (_, r) = replies
                 .recv_timeout(Duration::from_secs(10))
                 .expect("yield must not drop in-flight requests");
             assert!(matches!(r, Response::Done { .. }), "unexpected: {r:?}");
@@ -896,10 +897,10 @@ mod tests {
                 op: IoOp::Read,
                 offset: 0,
                 bytes: 4096,
-                reply: ReplyTo::Channel(reply_tx),
+                reply: reply.clone(),
             }))
             .unwrap();
-        let r = reply_rx
+        let (_, r) = replies
             .recv_timeout(Duration::from_secs(10))
             .expect("source keeps serving after yield");
         assert!(

@@ -1,8 +1,9 @@
 //! Event-loop core integration: connection limits, idle wakeups,
-//! all-or-nothing batch admission, core parity, and the multiplexed
+//! all-or-nothing batch admission, undecodable frames, the SHUTDOWN
+//! handshake, a batched closed-loop load, and the multiplexed
 //! high-concurrency client — all over real loopback TCP.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -12,7 +13,7 @@ use rif_server::protocol::{
     decode_response, encode_request, read_frame, write_frame, BatchEntry, BusyReason, ErrorCode,
     Request, Response, PROTOCOL_VERSION,
 };
-use rif_server::server::{CoreKind, Server, ServerConfig};
+use rif_server::server::{Server, ServerConfig};
 use rif_workloads::IoOp;
 
 /// A raw blocking protocol connection for surgical frame-level tests.
@@ -35,7 +36,22 @@ impl Raw {
     }
 
     fn send(&mut self, req: &Request) {
-        write_frame(&mut self.writer, &encode_request(req)).expect("write frame");
+        self.send_payload(&encode_request(req));
+    }
+
+    /// Frames `payload` as-is, so a test can send bytes no encoder makes.
+    fn send_payload(&mut self, payload: &[u8]) {
+        write_frame(&mut self.writer, payload).expect("write frame");
+    }
+
+    /// Sends every request in one `write`, so the server sees them
+    /// pipelined in a single read.
+    fn send_pipelined(&mut self, reqs: &[Request]) {
+        let mut buf = Vec::new();
+        for req in reqs {
+            write_frame(&mut buf, &encode_request(req)).expect("frame into buffer");
+        }
+        self.writer.write_all(&buf).expect("write pipelined frames");
     }
 
     fn recv(&mut self) -> Response {
@@ -126,8 +142,8 @@ fn idle_event_loop_produces_near_zero_wakeups() {
     let addr = server.local_addr().to_string();
 
     // One idle connection registered, then nothing happens. A readiness
-    // loop blocks; the legacy acceptor's 5 ms WouldBlock spin (the bug
-    // this core fixes) would clock hundreds of wakeups here.
+    // loop blocks; an accept loop that spins on WouldBlock every 5 ms
+    // would clock hundreds of wakeups here.
     let mut idle = Raw::connect(&addr);
     idle.send(&Request::Stats { tag: 1 });
     let _ = idle.recv();
@@ -223,34 +239,98 @@ fn batch_admission_is_all_or_nothing_against_the_inflight_cap() {
 }
 
 #[test]
-fn both_cores_serve_the_same_load() {
-    for core in [CoreKind::EventLoop, CoreKind::Threaded] {
-        let server = Server::start(
-            ServerConfig {
-                shards: 2,
-                inflight_limit: 64,
-                time_scale: 200.0,
-                core,
-                ..ServerConfig::default()
-            },
-            0,
-        )
-        .expect("bind");
-        let report = run_load(&LoadConfig {
-            addr: server.local_addr().to_string(),
-            connections: 2,
-            depth: 8,
-            requests: 200,
-            seed: 11,
-            batch: 8,
-            ..LoadConfig::default()
-        })
-        .expect("load");
-        assert_eq!(report.completed, 200, "core {core:?}: {}", report.to_json());
-        assert_eq!(report.protocol_errors, 0, "core {core:?}");
-        assert_eq!(report.failed, 0, "core {core:?}");
-        server.stop();
+fn serves_a_batched_closed_loop_load() {
+    let server = Server::start(
+        ServerConfig {
+            shards: 2,
+            inflight_limit: 64,
+            time_scale: 200.0,
+            ..ServerConfig::default()
+        },
+        0,
+    )
+    .expect("bind");
+    let report = run_load(&LoadConfig {
+        addr: server.local_addr().to_string(),
+        connections: 2,
+        depth: 8,
+        requests: 200,
+        seed: 11,
+        batch: 8,
+        ..LoadConfig::default()
+    })
+    .expect("load");
+    assert_eq!(report.completed, 200, "{}", report.to_json());
+    assert_eq!(report.protocol_errors, 0);
+    assert_eq!(report.failed, 0);
+    server.stop();
+}
+
+#[test]
+fn undecodable_frame_is_refused_and_the_connection_stays_usable() {
+    let server = Server::start(
+        ServerConfig {
+            time_scale: 200.0,
+            ..ServerConfig::default()
+        },
+        0,
+    )
+    .expect("bind");
+    let mut conn = Raw::connect(&server.local_addr().to_string());
+
+    // An intact length prefix around an opcode no request uses: the
+    // frame boundary survives, so only this frame is refused, by tag 0
+    // because no tag decoded.
+    conn.send_payload(&[0x7F, 0, 0, 0, 0, 0, 0, 0, 0]);
+    assert_eq!(
+        conn.recv(),
+        Response::Error {
+            tag: 0,
+            code: ErrorCode::BadRequest
+        }
+    );
+    assert_eq!(
+        server.metrics_snapshot().counter("server.protocol_errors"),
+        1
+    );
+
+    conn.send(&Request::Read {
+        tenant: 0,
+        tag: 42,
+        offset: 0,
+        bytes: 4096,
+    });
+    match conn.recv() {
+        Response::Done { tag, .. } => assert_eq!(tag, 42),
+        other => panic!("expected DONE for the READ, got {other:?}"),
     }
+    server.stop();
+}
+
+#[test]
+fn shutdown_answers_goodbye_and_drops_pipelined_requests() {
+    let server = Server::start(ServerConfig::default(), 0).expect("bind");
+    let mut conn = Raw::connect(&server.local_addr().to_string());
+
+    conn.send_pipelined(&[
+        Request::Shutdown { tag: 9 },
+        Request::Read {
+            tenant: 0,
+            tag: 10,
+            offset: 0,
+            bytes: 4096,
+        },
+    ]);
+    assert_eq!(conn.recv(), Response::Goodbye { tag: 9 });
+    // GOODBYE is the connection's last frame: the READ behind it is
+    // neither answered nor admitted.
+    assert!(
+        conn.recv_or_eof().is_none(),
+        "nothing may follow GOODBYE but EOF"
+    );
+    assert!(server.shutdown_requested());
+    assert_eq!(server.metrics_snapshot().counter("server.requests.read"), 0);
+    server.stop();
 }
 
 #[test]
