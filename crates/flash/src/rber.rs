@@ -104,7 +104,7 @@ impl ErrorModel {
     /// retry achieves). This is the RBER for which tECC ≈ 1 µs in Table I.
     pub fn rber_optimal(&self, block: BlockProfile, op: OperatingPoint, kind: PageKind) -> f64 {
         let params = self.state_params(block, op);
-        let refs = self.tlc.optimal_refs(params);
+        let refs = TlcModel::optimal_refs_of_kind(&params, kind);
         self.tlc.rber_with_params(&params, &refs, kind)
     }
 
@@ -117,7 +117,7 @@ impl ErrorModel {
         kind: PageKind,
     ) -> (f64, f64) {
         let params = self.state_params(block, op);
-        let refs = self.tlc.optimal_refs(params);
+        let refs = TlcModel::optimal_refs_of_kind(&params, kind);
         (
             self.tlc.rber_with_params(&params, &self.default_refs, kind),
             self.tlc.rber_with_params(&params, &refs, kind),

@@ -242,6 +242,18 @@ impl TlcModel {
         refs
     }
 
+    /// [`TlcModel::optimal_refs`] solved only at the references a page of
+    /// `kind` reads (`refs_of(kind)`); the other entries stay 0.0. Enough
+    /// for [`TlcModel::rber_with_params`] of the same kind, which reads
+    /// nothing else, at two or three intersections instead of seven.
+    pub(crate) fn optimal_refs_of_kind(params: &[StateParam; 8], kind: PageKind) -> [f64; 7] {
+        let mut refs = [0.0; 7];
+        for &r in Self::refs_of(kind) {
+            refs[r - 1] = gaussian_intersection(params[r - 1], params[r]);
+        }
+        refs
+    }
+
     /// RBER of a page of `kind` read at the given reference voltages.
     ///
     /// For each state the model integrates the probability mass falling in
@@ -267,25 +279,27 @@ impl TlcModel {
         kind: PageKind,
     ) -> f64 {
         let kind_refs = Self::refs_of(kind);
+        let lowest_bit = Self::bit_of(kind, 0);
         let mut err = 0.0;
         for (s, p) in params.iter().enumerate() {
             let want = Self::bit_of(kind, s);
             // Walk the regions between this kind's references in ascending
             // voltage order. The decoded bit of the lowest region is the
-            // bit of state 0, and crossing a reference flips it.
-            let mut region_bit = Self::bit_of(kind, 0);
-            let mut lo = f64::NEG_INFINITY;
+            // bit of state 0, and crossing a reference flips it. `lo` is
+            // the state's CDF at the region's lower edge (0 at −∞).
+            let mut region_bit = lowest_bit;
+            let mut lo = 0.0;
             let mut wrong_mass = 0.0;
             for &r in kind_refs {
-                let b = refs[r - 1];
+                let hi = state_cdf(p, refs[r - 1]);
                 if region_bit != want {
-                    wrong_mass += gauss_mass(p, lo, b);
+                    wrong_mass += (hi - lo).max(0.0);
                 }
-                lo = b;
+                lo = hi;
                 region_bit = !region_bit;
             }
             if region_bit != want {
-                wrong_mass += gauss_mass(p, lo, f64::INFINITY);
+                wrong_mass += (1.0 - lo).max(0.0);
             }
             err += wrong_mass / 8.0;
         }
@@ -307,35 +321,28 @@ impl TlcModel {
     pub fn ones_fraction(&self, params: &[StateParam; 8], refs: &[f64; 7], kind: PageKind) -> f64 {
         let mut ones = 0.0;
         for p in params.iter() {
+            // The same region walk as `rber_with_params`.
             let mut region_bit = Self::bit_of(kind, 0);
-            let mut lo = f64::NEG_INFINITY;
+            let mut lo = 0.0;
             for &r in Self::refs_of(kind) {
-                let b = refs[r - 1];
+                let hi = state_cdf(p, refs[r - 1]);
                 if region_bit {
-                    ones += gauss_mass(p, lo, b) / 8.0;
+                    ones += (hi - lo).max(0.0) / 8.0;
                 }
-                lo = b;
+                lo = hi;
                 region_bit = !region_bit;
             }
             if region_bit {
-                ones += gauss_mass(p, lo, f64::INFINITY) / 8.0;
+                ones += (1.0 - lo).max(0.0) / 8.0;
             }
         }
         ones
     }
 }
 
-fn gauss_mass(p: &StateParam, lo: f64, hi: f64) -> f64 {
-    let cdf = |x: f64| {
-        if x == f64::INFINITY {
-            1.0
-        } else if x == f64::NEG_INFINITY {
-            0.0
-        } else {
-            normal_cdf((x - p.mean) / p.sigma)
-        }
-    };
-    (cdf(hi) - cdf(lo)).max(0.0)
+/// The CDF of state `p` at voltage `x`.
+fn state_cdf(p: &StateParam, x: f64) -> f64 {
+    normal_cdf((x - p.mean) / p.sigma)
 }
 
 /// The equal-density crossing point of two Gaussians, constrained to lie

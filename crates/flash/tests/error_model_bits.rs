@@ -26,6 +26,7 @@ const AT_OFFSET: f64 = -0.0725;
 /// One row per (P/E, days, reads, factor, kind), in that nesting order:
 /// `rber_default`, `rber_optimal`, `rber_at` and
 /// `TlcModel::ones_fraction` at the default references, as raw bits.
+/// Also asserts that `rber_default_and_optimal` returns the first two.
 fn tlc_rows() -> Vec<[u64; 4]> {
     let model = ErrorModel::calibrated();
     let tlc = TlcModel::calibrated();
@@ -44,9 +45,20 @@ fn tlc_rows() -> Vec<[u64; 4]> {
                     let block = BlockProfile { factor };
                     let params = tlc.state_params(op, factor);
                     for kind in PageKind::ALL {
+                        let default = model.rber_default(block, op, kind).to_bits();
+                        let optimal = model.rber_optimal(block, op, kind).to_bits();
+                        // The simulator's entry point must agree with the
+                        // two single-purpose evaluations, which the rows
+                        // pin against `TLC_BITS`.
+                        let (d, o) = model.rber_default_and_optimal(block, op, kind);
+                        assert_eq!(
+                            (d.to_bits(), o.to_bits()),
+                            (default, optimal),
+                            "rber_default_and_optimal diverged at {op:?} {factor} {kind}"
+                        );
                         rows.push([
-                            model.rber_default(block, op, kind).to_bits(),
-                            model.rber_optimal(block, op, kind).to_bits(),
+                            default,
+                            optimal,
                             model.rber_at(block, op, offset, kind).to_bits(),
                             tlc.ones_fraction(&params, defaults.as_array(), kind)
                                 .to_bits(),

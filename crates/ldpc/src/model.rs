@@ -14,9 +14,25 @@ use crate::analysis::{capability_sweep, CapabilityPoint};
 use crate::code::{QcLdpcCode, PAPER_CORRECTION_CAPABILITY};
 use crate::decoder::PAPER_MAX_ITERATIONS;
 
+/// |x| from which [`normal_cdf`] returns its saturated value directly.
+pub const NORMAL_CDF_SATURATION: f64 = 9.0;
+
 /// Standard normal CDF via the Abramowitz–Stegun erf approximation
 /// (absolute error < 1.5e-7 — far below Monte-Carlo noise).
+///
+/// For |x| ≥ [`NORMAL_CDF_SATURATION`] the result is returned as exactly
+/// `1.0` or `0.0` without evaluating the formula. The formula itself
+/// already rounds to those values from |x| ≈ 8.3758 on (its tail term
+/// at 9 is 0.4 % of the half-ulp below 1.0), so the shortcut changes no
+/// output bit; it only skips an `exp` on the far-tail calls that
+/// dominate V_TH mixture integration.
 pub fn normal_cdf(x: f64) -> f64 {
+    if x >= NORMAL_CDF_SATURATION {
+        return 1.0;
+    }
+    if x <= -NORMAL_CDF_SATURATION {
+        return 0.0;
+    }
     let z = x / std::f64::consts::SQRT_2;
     0.5 * (1.0 + erf(z))
 }
@@ -278,6 +294,64 @@ mod tests {
         assert!((normal_cdf(1.281_552) - 0.9).abs() < 1e-5);
         assert!(normal_cdf(-6.0) < 1e-8);
         assert!(normal_cdf(6.0) > 1.0 - 1e-8);
+    }
+
+    /// The Abramowitz–Stegun formula with no saturation shortcut: what
+    /// `normal_cdf` computed before it returned 0/1 early in the tails.
+    fn normal_cdf_unshortened(x: f64) -> f64 {
+        0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
+    }
+
+    fn assert_same_bits(x: f64) {
+        let (got, want) = (normal_cdf(x), normal_cdf_unshortened(x));
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "x={x:e}: {got:e} vs {want:e}"
+        );
+    }
+
+    #[test]
+    fn saturation_shortcut_is_bit_exact_next_to_the_threshold() {
+        // The first million representable values beyond ±9 in each tail.
+        for start in [NORMAL_CDF_SATURATION, -NORMAL_CDF_SATURATION] {
+            let mut x = start;
+            for _ in 0..1_000_000 {
+                assert_same_bits(x);
+                x = f64::from_bits(x.to_bits() + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn saturation_shortcut_is_bit_exact_on_a_dense_grid() {
+        for i in -400_000..=400_000 {
+            assert_same_bits(i as f64 * 1e-4);
+        }
+        assert_same_bits(f64::INFINITY);
+        assert_same_bits(f64::NEG_INFINITY);
+        assert_eq!(normal_cdf(f64::INFINITY), 1.0);
+        assert_eq!(normal_cdf(f64::NEG_INFINITY), 0.0);
+    }
+
+    #[test]
+    fn normal_cdf_keeps_nan() {
+        assert!(normal_cdf(f64::NAN).is_nan());
+        assert!(normal_cdf(-f64::NAN).is_nan());
+    }
+
+    #[test]
+    fn formula_already_saturates_below_the_threshold() {
+        // The margin: on [8.38, 9] the unshortened formula already
+        // returns exactly 1.0 (and 0.0 mirrored), so moving the threshold
+        // anywhere in this band changes nothing.
+        for i in 0..=62_000 {
+            let x = 8.38 + i as f64 * 1e-5;
+            assert_eq!(normal_cdf_unshortened(x), 1.0, "x={x}");
+            assert_eq!(normal_cdf_unshortened(-x), 0.0, "x=-{x}");
+        }
+        assert_eq!(normal_cdf_unshortened(NORMAL_CDF_SATURATION), 1.0);
+        assert_eq!(normal_cdf_unshortened(-NORMAL_CDF_SATURATION), 0.0);
     }
 
     #[test]

@@ -52,6 +52,44 @@ impl SlotLocation {
     }
 }
 
+/// Entries per lazily allocated chunk of a [`BlockTable`].
+const BLOCK_CHUNK: usize = 64;
+
+/// One `T` per global block id ([`SlotLocation::global_block`]), indexed
+/// directly instead of hashed: the id is bounded by the geometry
+/// (`channels × dies_per_channel × blocks_per_plane`), so no key can
+/// collide. Chunks of [`BLOCK_CHUNK`] entries are allocated on first
+/// touch. A run touches a few blocks per die, and a table allocated
+/// whole (483 KB per table on the paper geometry) would be zeroed page
+/// by page whenever the allocator serves it from recycled heap memory,
+/// as it does for every simulator after the first in a process.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockTable<T> {
+    chunks: Vec<Option<Box<[T; BLOCK_CHUNK]>>>,
+}
+
+impl<T: Copy + Default> BlockTable<T> {
+    /// An all-default table covering every block of `geometry`.
+    pub(crate) fn new(geometry: &FlashGeometry) -> Self {
+        let blocks = geometry.channels * geometry.dies_per_channel * geometry.blocks_per_plane;
+        BlockTable {
+            chunks: vec![None; blocks.div_ceil(BLOCK_CHUNK)],
+        }
+    }
+
+    /// The entry of block `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` lies outside the geometry.
+    pub(crate) fn entry(&mut self, id: u64) -> &mut T {
+        let id = id as usize;
+        let chunk = self.chunks[id / BLOCK_CHUNK]
+            .get_or_insert_with(|| Box::new([T::default(); BLOCK_CHUNK]));
+        &mut chunk[id % BLOCK_CHUNK]
+    }
+}
+
 /// Garbage-collection work the simulator must charge to a die: `relocated`
 /// slots were moved by on-die copyback and one block was erased.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,12 +138,15 @@ struct DieState {
 #[derive(Debug, Clone)]
 pub struct Ftl {
     geometry: FlashGeometry,
+    /// Logical slot → location. Slot numbers derive from client offsets,
+    /// so this map keeps std's keyed hashing: a fixed hash would let a
+    /// client pick colliding slots.
     mapping: HashMap<u64, SlotLocation>,
     dies: Vec<DieState>,
     /// Live-slot tracking for write-region blocks, keyed by (die, block).
     blocks: HashMap<(usize, usize), BlockLive>,
-    /// Per-block read counters (read disturb), keyed by global block id.
-    read_counts: HashMap<u64, u64>,
+    /// Per-block read counters (read disturb), by global block id.
+    read_counts: BlockTable<u64>,
     write_base: usize,
     write_rr: usize,
     relocations: u64,
@@ -134,7 +175,7 @@ impl Ftl {
             mapping: HashMap::new(),
             dies,
             blocks: HashMap::new(),
-            read_counts: HashMap::new(),
+            read_counts: BlockTable::new(&geometry),
             write_base,
             write_rr: 0,
             relocations: 0,
@@ -313,8 +354,7 @@ impl Ftl {
     /// Bumps and returns the read-disturb counter of the block holding
     /// `loc`.
     pub fn note_read(&mut self, loc: SlotLocation) -> u64 {
-        let id = loc.global_block(&self.geometry);
-        let c = self.read_counts.entry(id).or_insert(0);
+        let c = self.read_counts.entry(loc.global_block(&self.geometry));
         *c += 1;
         *c
     }
@@ -453,6 +493,47 @@ mod tests {
         assert_eq!(ftl.note_read(loc), 2);
         let other = ftl.locate_read(4);
         assert_eq!(ftl.note_read(other), 1);
+    }
+
+    #[test]
+    fn read_counters_cover_every_block_of_the_geometry() {
+        // The counters are a table indexed by global block id: the first
+        // and last block of the geometry and neighbours across a chunk
+        // boundary each count on their own.
+        let g = FlashGeometry::small();
+        let mut ftl = Ftl::new(g);
+        let n_dies = g.channels * g.dies_per_channel;
+        let at = |id: usize| SlotLocation {
+            die_linear: id / g.blocks_per_plane,
+            block: id % g.blocks_per_plane,
+            page: 0,
+        };
+        let locs = [
+            at(0),
+            at(BLOCK_CHUNK - 1),
+            at(BLOCK_CHUNK),
+            at(n_dies * g.blocks_per_plane - 1),
+        ];
+        for (i, &loc) in locs.iter().enumerate() {
+            for _ in 0..i {
+                ftl.note_read(loc);
+            }
+        }
+        for (i, &loc) in locs.iter().enumerate() {
+            assert_eq!(ftl.note_read(loc), i as u64 + 1, "{loc:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn read_counter_outside_the_geometry_panics() {
+        let g = FlashGeometry::small();
+        let mut ftl = Ftl::new(g);
+        ftl.note_read(SlotLocation {
+            die_linear: g.channels * g.dies_per_channel,
+            block: 0,
+            page: 0,
+        });
     }
 
     #[test]

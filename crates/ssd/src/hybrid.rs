@@ -26,7 +26,7 @@ use rif_flash::geometry::FlashGeometry;
 use rif_flash::mlc::MlcModel;
 use rif_flash::vth::OperatingPoint;
 
-use crate::ftl::{GcWork, SlotLocation};
+use crate::ftl::{BlockTable, GcWork, SlotLocation};
 
 /// Cell mode of a flash region.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -302,10 +302,13 @@ struct HybridDie {
 #[derive(Debug, Clone)]
 pub struct HybridFtl {
     geometry: FlashGeometry,
+    /// Logical slot → location. Slot-keyed maps keep std's keyed hashing
+    /// (slot numbers derive from client offsets; see [`crate::ftl::Ftl`]).
     mapping: HashMap<u64, SlotLocation>,
     dies: Vec<HybridDie>,
     blocks: HashMap<(usize, usize), BlockLive>,
-    read_counts: HashMap<u64, u64>,
+    /// Per-block read counters (read disturb), by global block id.
+    read_counts: BlockTable<u64>,
     /// Slots ever touched, in first-touch order (the refresh scan's
     /// deterministic iteration universe).
     touched: Vec<u64>,
@@ -364,7 +367,7 @@ impl HybridFtl {
             mapping: HashMap::new(),
             dies,
             blocks: HashMap::new(),
-            read_counts: HashMap::new(),
+            read_counts: BlockTable::new(&geometry),
             touched: Vec::new(),
             cached: HashMap::new(),
             write_base,
@@ -468,8 +471,7 @@ impl HybridFtl {
 
     /// Bumps and returns the read-disturb counter of `loc`'s block.
     pub fn note_read(&mut self, loc: SlotLocation) -> u64 {
-        let id = loc.global_block(&self.geometry);
-        let c = self.read_counts.entry(id).or_insert(0);
+        let c = self.read_counts.entry(loc.global_block(&self.geometry));
         *c += 1;
         *c
     }

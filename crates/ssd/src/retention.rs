@@ -17,6 +17,8 @@ use rif_events::SimTime;
 #[derive(Debug, Clone)]
 pub struct RetentionTracker {
     refresh_days: f64,
+    /// Slot → last write. Keyed hashing on purpose: slot numbers derive
+    /// from client offsets.
     write_time: HashMap<u64, SimTime>,
     seed: u64,
 }

@@ -29,7 +29,7 @@ use rif_flash::vth::OperatingPoint;
 use rif_workloads::{IoOp, IoRequest, Trace};
 
 use crate::config::SsdConfig;
-use crate::ftl::{Ftl, SlotLocation};
+use crate::ftl::{BlockTable, Ftl, SlotLocation};
 use crate::hybrid::{
     AmpTable, BgKind, HybridConfig, HybridFtl, MigrationPolicy, AMPLIFIED_RBER_CAP,
     AMPLIFIED_RBER_FLOOR,
@@ -282,6 +282,8 @@ pub struct Simulator {
     /// `self.ftl` authoritative.
     hybrid: Option<HybridState>,
     retention: RetentionTracker,
+    /// Memoized [`Simulator::block_profile`] draws, by global block id.
+    profiles: BlockTable<Option<BlockProfile>>,
     dies: Vec<Die>,
     channels: Vec<Channel>,
     ecc: Vec<EccEngine>,
@@ -364,6 +366,7 @@ impl Simulator {
             learn_err_sum: 0.0,
             learn_err_samples: 0,
             retention: RetentionTracker::new(cfg.refresh_days, cfg.seed ^ 0xA5E),
+            profiles: BlockTable::new(&cfg.geometry),
             dies: (0..n_dies).map(|_| Die::default()).collect(),
             channels,
             ecc: (0..cfg.geometry.channels)
@@ -476,7 +479,13 @@ impl Simulator {
     /// clock: the request arrives "now". This is what lets a service
     /// layer feed wall-clock-paced arrivals into a running simulation
     /// without ever scheduling into the past.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `r.bytes` is zero: a zero-length request covers no
+    /// slot and could never complete.
     pub fn submit(&mut self, r: IoRequest) -> u64 {
+        assert!(r.bytes > 0, "zero-length request at offset {}", r.offset);
         let id = self.requests.len();
         let arrival = r.arrival.max(self.events.now());
         self.requests.push(Request {
@@ -787,8 +796,8 @@ impl Simulator {
             op.retention_days += self.cfg.drift.extra_days(secs);
             op.pe_cycles = op.pe_cycles.saturating_add(self.cfg.drift.extra_pe(secs));
         }
-        let block = self.block_profile(loc);
         let block_id = loc.global_block(&self.cfg.geometry);
+        let block = self.block_profile(block_id);
         let kind = loc.kind();
         // Hybrid mode reads the TLC-calibrated error model through the
         // cell mode's amplification factor: SLC-cache reads are
@@ -853,11 +862,14 @@ impl Simulator {
         gid
     }
 
-    /// Deterministic per-block process variation.
-    fn block_profile(&self, loc: SlotLocation) -> BlockProfile {
-        let id = loc.global_block(&self.cfg.geometry);
-        let mut rng = SimRng::seed_from(id.wrapping_mul(0x517C_C1B7_2722_0A95) ^ self.cfg.seed);
-        BlockProfile::sample(&mut rng)
+    /// Deterministic per-block process variation of global block `id`,
+    /// drawn on the block's first read and memoized.
+    fn block_profile(&mut self, id: u64) -> BlockProfile {
+        let seed = self.cfg.seed;
+        *self.profiles.entry(id).get_or_insert_with(|| {
+            let mut rng = SimRng::seed_from(id.wrapping_mul(0x517C_C1B7_2722_0A95) ^ seed);
+            BlockProfile::sample(&mut rng)
+        })
     }
 
     fn forced_fail(&self, slot: u64) -> Option<bool> {
@@ -1826,6 +1838,23 @@ mod tests {
             offset,
             bytes,
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-length request")]
+    fn zero_length_request_at_offset_zero_is_rejected() {
+        let mut sim = Simulator::new(SsdConfig::small(RetryKind::Sentinel, 0));
+        sim.submit(read_req(0, 0, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "zero-length request")]
+    fn zero_length_request_at_a_slot_boundary_is_rejected() {
+        // At a slot-aligned offset the covered slot range is empty, so an
+        // admitted request would wait forever for zero sub-reads.
+        let mut sim = Simulator::new(SsdConfig::small(RetryKind::Sentinel, 0));
+        let slot = sim.slot_bytes();
+        sim.submit(read_req(0, 3 * slot, 0));
     }
 
     #[test]

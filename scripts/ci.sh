@@ -5,7 +5,8 @@
 #
 # Steps: formatting, release build, test suite (default features plus the
 # gated proptest suites), the decode-kernel perf smoke, the benchmark's
-# self-checks (each stackbench workload for one second), a determinism
+# self-checks (each stackbench workload for one second, with the seed-1
+# simulator report hashes pinned), a determinism
 # check that --threads does not change a single CSV byte, a trace
 # gate that replays a quick figure run through the invariant checker,
 # the lifetime-sweep smoke (learned-threshold retry activity against its
@@ -80,10 +81,18 @@ grep -q '"code": "paper"' "$tmpdir/BENCH_ldpc.json"
 echo "==> benchmark self-checks (stackbench, 1 s per workload)"
 # Exit 0 means every repeated round reproduced the first byte for byte
 # and every request completed (see stackbench/README.md, "Self-checks").
+# Stderr carries each simulator workload's report hash; the seed-1 hashes
+# are pinned, so a change that moves any simulated result fails here
+# (update them only with a change that means to move results).
 for wl in sim-ali124 sim-hybrid-mixed ldpc-mc; do
     cargo run --release --offline --quiet --manifest-path stackbench/Cargo.toml -- \
-        --workload "$wl" --seed 1 --seconds 1 --trace 0 > "$tmpdir/stackbench-$wl.json"
+        --workload "$wl" --seed 1 --seconds 1 --trace 0 \
+        > "$tmpdir/stackbench-$wl.json" 2> "$tmpdir/stackbench-$wl.err" \
+        || { cat "$tmpdir/stackbench-$wl.err"; exit 1; }
+    cat "$tmpdir/stackbench-$wl.err"
 done
+grep -q 'report hash 114227713e22b126$' "$tmpdir/stackbench-sim-ali124.err"
+grep -q 'report hash 04f619ab0fab1985$' "$tmpdir/stackbench-sim-hybrid-mixed.err"
 
 echo "==> thread-count determinism (fig10, --threads 1 vs 8)"
 cargo run -q --release -p rif-bench --bin fig10_syndrome_correlation -- \
